@@ -276,7 +276,9 @@ func (l *List) Check(principal string, op OpClass, owner, purpose string) Decisi
 			if g.Owner != "" && g.Owner != owner {
 				continue
 			}
-			return Decision{Allowed: true, Reason: "grant " + g.Purpose}
+			// A constant: allow reasons are never read on the data path,
+			// which makes this decision every processor op's.
+			return Decision{Allowed: true, Reason: "matching grant"}
 		}
 		return Decision{Allowed: false, Reason: "no matching grant"}
 	default:

@@ -203,3 +203,25 @@ func TestRoleAndOpStrings(t *testing.T) {
 		t.Fatal("op names wrong")
 	}
 }
+
+// TestAllowedProcessorCheckAllocFree pins the data-path decision — a
+// processor with a matching grant — at zero allocations: the allow
+// reason is a constant, and only denials build one.
+func TestAllowedProcessorCheckAllocFree(t *testing.T) {
+	l, _ := newList()
+	l.AddPrincipal(Principal{ID: "svc", Role: RoleProcessor})
+	if err := l.AddGrant(Grant{Principal: "svc", Purpose: "billing"}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if d := l.Check("svc", OpRead, "alice", "billing"); !d.Allowed {
+			t.Fatalf("processor denied with grant: %s", d.Reason)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("allowed processor check allocates %.1f objects/op, want 0", allocs)
+	}
+	if d := l.Check("svc", OpRead, "alice", "marketing"); d.Allowed || d.Reason != "no matching grant" {
+		t.Fatalf("denial = %+v, want the unchanged no-matching-grant reason", d)
+	}
+}

@@ -149,12 +149,7 @@ func (l *Log) Append(name string, args ...[]byte) error {
 	if l.closed {
 		return errors.New("aof: closed")
 	}
-	vs := make([]resp.Value, 0, len(args)+1)
-	vs = append(vs, resp.BulkStringValue(name))
-	for _, a := range args {
-		vs = append(vs, resp.BulkValue(a))
-	}
-	if err := l.enc.WriteValue(resp.ArrayValue(vs...)); err != nil {
+	if err := l.enc.WriteNamedCommand(name, args); err != nil {
 		l.lastErr = err
 		return err
 	}
@@ -359,12 +354,7 @@ func (l *Log) Rewrite(snapshot SnapshotFunc) error {
 		return n, err
 	}))
 	emit := func(name string, args ...[]byte) error {
-		vs := make([]resp.Value, 0, len(args)+1)
-		vs = append(vs, resp.BulkStringValue(name))
-		for _, a := range args {
-			vs = append(vs, resp.BulkValue(a))
-		}
-		return enc.WriteValue(resp.ArrayValue(vs...))
+		return enc.WriteNamedCommand(name, args)
 	}
 	if err := snapshot(emit); err != nil {
 		tmp.Close()

@@ -356,6 +356,7 @@ func (t *Trail) worker() {
 	defer t.workerWG.Done()
 	batch := make([]pending, 0, workerBatch)
 	errs := make([]error, 0, workerBatch)
+	var line []byte // this worker's serialization buffer, reused per record
 	for p := range t.queue {
 		batch = append(batch[:0], p)
 	claim:
@@ -372,7 +373,9 @@ func (t *Trail) worker() {
 		}
 		errs = errs[:0]
 		for _, q := range batch {
-			errs = append(errs, t.emit(q.rec))
+			var err error
+			line, err = t.emit(line[:0], q.rec)
+			errs = append(errs, err)
 		}
 		var syncErr error
 		if t.mode == SyncEveryOp {
@@ -390,13 +393,18 @@ func (t *Trail) worker() {
 	}
 }
 
-// emit masks, serializes and writes one record.
-func (t *Trail) emit(r Record) error {
+// emit masks, serializes and writes one record, serializing into buf
+// (returned for reuse: sinks do not keep the line past Write).
+func (t *Trail) emit(buf []byte, r Record) ([]byte, error) {
 	if t.masker != nil {
 		r = t.masker.Mask(r)
 		t.masked.Inc()
 	}
-	line, err := json.Marshal(r)
+	line, ok := appendRecordJSON(buf, r)
+	var err error
+	if !ok {
+		line, err = json.Marshal(r) // refuses what the appender declines, saying why
+	}
 	if err == nil {
 		err = t.sink.Write(r, line)
 	}
@@ -404,7 +412,7 @@ func (t *Trail) emit(r Record) error {
 		t.sinkErrors.Inc()
 		t.setErr(err)
 	}
-	return err
+	return line, err
 }
 
 // flushLoop is the SyncBatched once-per-second durability pump. Sync

@@ -18,7 +18,9 @@ import (
 // serialization (no trailing newline), so in-engine sinks can keep the
 // struct and export sinks can forward bytes without re-marshalling.
 // Implementations must be safe for concurrent use: the pipeline runs
-// several workers against one sink.
+// several workers against one sink. line is valid only during Write (each
+// worker reuses its buffer for the next record); a sink that keeps the
+// bytes copies them.
 type Sink interface {
 	// Write appends one record.
 	Write(r Record, line []byte) error

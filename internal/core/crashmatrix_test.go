@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -186,7 +187,10 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 // journal at arbitrary byte boundaries (a crash mid-append) must still
 // reopen cleanly, and the surviving keys must be exactly a prefix of the
 // write order with their correct values — no corruption, no resurrection,
-// no reordering.
+// no reordering. It cuts the same history in both journal formats replay
+// accepts: the legacy two-record one (SET plus GMETA with JSON metadata,
+// subtests "cut=N", named as before the GPUT record existed) and the
+// current one-record GPUT journal (subtests "gput/cut=N").
 func TestCrashTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
@@ -207,42 +211,77 @@ func TestCrashTornTailRecovery(t *testing.T) {
 	if err := st.Log().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(path)
+	current, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
 
-	for _, cut := range []int{len(full), len(full) - 1, len(full) - 7, len(full) / 2, len(full) / 4, 3, 0} {
-		if cut < 0 {
-			continue
+	legacyPath := filepath.Join(dir, "legacy.aof")
+	lg, err := aof.Open(legacyPath, aof.Options{Policy: aof.SyncNo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range order {
+		m, ok := st.ix.get(k)
+		if !ok {
+			t.Fatalf("key %s has no metadata", k)
 		}
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			tornPath := filepath.Join(t.TempDir(), "torn.aof")
-			if err := os.WriteFile(tornPath, full[:cut], 0o600); err != nil {
-				t.Fatal(err)
+		js, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Append("SET", []byte(k), []byte("val-"+k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Append(opMeta, []byte(k), js); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	legacy, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, j := range []struct {
+		prefix string
+		full   []byte
+	}{{"", legacy}, {"gput/", current}} {
+		full := j.full
+		for _, cut := range []int{len(full), len(full) - 1, len(full) - 7, len(full) / 2, len(full) / 4, 3, 0} {
+			if cut < 0 {
+				continue
 			}
-			re, err := Open(crashCfg(tornPath, vc, 16, aof.SyncNo))
-			if err != nil {
-				t.Fatalf("torn journal rejected: %v", err)
-			}
-			defer re.Close()
-			present := 0
-			for i, k := range order {
-				if re.Engine().Exists(k) {
-					if present != i {
-						t.Fatalf("key %s present but earlier key missing: survivors are not a prefix", k)
-					}
-					v, _ := re.Engine().Get(k)
-					if string(v) != "val-"+k {
-						t.Fatalf("key %s corrupted: %q", k, v)
-					}
-					present++
+			t.Run(fmt.Sprintf("%scut=%d", j.prefix, cut), func(t *testing.T) {
+				tornPath := filepath.Join(t.TempDir(), "torn.aof")
+				if err := os.WriteFile(tornPath, full[:cut], 0o600); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if cut == len(full) && present != len(order) {
-				t.Fatalf("untruncated replay lost keys: %d/%d", present, len(order))
-			}
-		})
+				re, err := Open(crashCfg(tornPath, vc, 16, aof.SyncNo))
+				if err != nil {
+					t.Fatalf("torn journal rejected: %v", err)
+				}
+				defer re.Close()
+				present := 0
+				for i, k := range order {
+					if re.Engine().Exists(k) {
+						if present != i {
+							t.Fatalf("key %s present but earlier key missing: survivors are not a prefix", k)
+						}
+						v, _ := re.Engine().Get(k)
+						if string(v) != "val-"+k {
+							t.Fatalf("key %s corrupted: %q", k, v)
+						}
+						present++
+					}
+				}
+				if cut == len(full) && present != len(order) {
+					t.Fatalf("untruncated replay lost keys: %d/%d", present, len(order))
+				}
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"gdprstore/internal/audit"
 	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/store"
 )
 
 func openSealed(key, sealed []byte, recordKey string) ([]byte, error) {
@@ -325,43 +326,36 @@ func (s *Store) reclaimErasedLocked() int {
 }
 
 // snapshotAll emits the commands that reconstruct the full compliance
-// state: the dataset (SET/SETEX), metadata (GMETA), standing objections
-// (GOBJ), and the envelope keyring (GKEY/GSHRED, with key epochs). Callers
-// hold the whole-store lock (lockAll), so the cut is globally consistent.
+// state: one GPUT per live key (value, deadline and metadata together; a
+// key without metadata gets an empty metadata argument), standing
+// objections (GOBJ), and the envelope keyring (GKEY/GSHRED, with key
+// epochs). Callers hold the whole-store lock (lockAll), so the cut is
+// globally consistent. Metadata of keys absent from the engine is not
+// emitted, so a rewrite also drops ghost metadata.
 //
 // Crypto-erased records the sweep has not reclaimed yet are omitted — both
 // their engine values and their metadata — so a compaction purges dead
 // ciphertext from the AOF even while the in-memory sweep is still running.
+//
+// Every emit consumer (the AOF rewrite, the full-resync payload) encodes
+// the record before returning, so one scratch buffer serves every key.
 func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
-	err := s.db.Snapshot(func(name string, args ...[]byte) error {
-		if s.keyring != nil && len(args) > 0 {
-			if m, ok := s.ix.get(string(args[0])); ok && s.recordDead(m) {
+	var scratch []byte
+	err := s.db.Range(func(k string, v []byte, deadline time.Time) error {
+		scratch = append(scratch[:0], k...)
+		nk := len(scratch)
+		scratch = store.AppendDeadline(scratch, deadline)
+		nd := len(scratch)
+		if m, ok := s.ix.get(k); ok {
+			if s.recordDead(m) {
 				return nil
 			}
+			scratch = appendMetadata(scratch, m, deadline)
 		}
-		return emit(name, args...)
+		return emit(opPut, scratch[:nk], v, scratch[nk:nd], scratch[nd:])
 	})
 	if err != nil {
 		return err
-	}
-	var emitErr error
-	s.ix.rangeMeta(func(k string, m Metadata) bool {
-		if !s.db.Exists(k) || s.recordDead(m) {
-			return true
-		}
-		mb, err := m.encode()
-		if err != nil {
-			emitErr = err
-			return false
-		}
-		if err := emit(opMeta, []byte(k), mb); err != nil {
-			emitErr = err
-			return false
-		}
-		return true
-	})
-	if emitErr != nil {
-		return emitErr
 	}
 	for _, os := range s.owners {
 		for owner, set := range os.objections {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"gdprstore/internal/store"
 )
 
 // Metadata is the per-record GDPR metadata the compliance layer maintains
@@ -69,20 +73,214 @@ func (m Metadata) PermitsPurpose(purpose string) bool {
 	return false
 }
 
-func (m Metadata) encode() ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode metadata: %w", err)
+// Metadata's binary encoding, version 1, is append-style (the
+// resp.WriteCommandBytes idiom: callers pass a scratch buffer):
+//
+//	version   1 byte (metaVersion)
+//	flags     1 byte (metaFlag*)
+//	owner     string
+//	purposes  list
+//	objections list
+//	origin    string
+//	shared    list
+//	location  string
+//	expiry    8 bytes, big-endian Unix nanoseconds, if metaFlagExpiry
+//	created   8 bytes, big-endian Unix nanoseconds, if metaFlagCreated
+//	key epoch uvarint
+//
+// A string is a uvarint length and its bytes; a list is a uvarint count
+// and that many strings. Decoding is strict — minimal varints, no unknown
+// flag bits, no trailing bytes — so every accepted encoding is the one
+// appendMetadata produces. Times decode in UTC without a monotonic
+// reading. Journals written before the binary codec carry JSON metadata,
+// whose first byte is '{' where this one's is the version; decodeMetadata
+// still reads it so old AOFs replay.
+const metaVersion = 1
+
+const (
+	metaFlagAutomated = 1 << iota
+	metaFlagExpiry
+	metaFlagCreated
+	// metaFlagRecordDeadline marks an expiry equal to the enclosing
+	// GPUT/GMPUT record's deadline, so the deadline is stored once. It is
+	// invalid where there is no deadline (a standalone encoding).
+	metaFlagRecordDeadline
+)
+
+var errMetaCorrupt = errors.New("core: decode metadata: malformed binary encoding")
+
+// appendMetadata appends m's encoding. deadline is that of the enclosing
+// GPUT/GMPUT record, whose expiry is then not repeated, or zero for a
+// standalone encoding (GMETA records).
+func appendMetadata(dst []byte, m Metadata, deadline time.Time) []byte {
+	var flags byte
+	if m.AutomatedDecisions {
+		flags |= metaFlagAutomated
 	}
-	return b, nil
+	switch {
+	case m.Expiry.IsZero():
+	case !deadline.IsZero() && store.UnixNanoClamped(m.Expiry) == store.UnixNanoClamped(deadline):
+		// Compared as encoded: two times past the int64-nanosecond range
+		// both encode as its bound, and the decoder sees them equal.
+		flags |= metaFlagRecordDeadline
+	default:
+		flags |= metaFlagExpiry
+	}
+	if !m.Created.IsZero() {
+		flags |= metaFlagCreated
+	}
+	dst = append(dst, metaVersion, flags)
+	dst = appendString(dst, m.Owner)
+	dst = appendList(dst, m.Purposes)
+	dst = appendList(dst, m.Objections)
+	dst = appendString(dst, m.Origin)
+	dst = appendList(dst, m.SharedWith)
+	dst = appendString(dst, m.Location)
+	if flags&metaFlagExpiry != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(store.UnixNanoClamped(m.Expiry)))
+	}
+	if flags&metaFlagCreated != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(store.UnixNanoClamped(m.Created)))
+	}
+	return binary.AppendUvarint(dst, m.KeyEpoch)
 }
 
-func decodeMetadata(b []byte) (Metadata, error) {
-	var m Metadata
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Metadata{}, fmt.Errorf("core: decode metadata: %w", err)
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendList(dst []byte, l []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(l)))
+	for _, s := range l {
+		dst = appendString(dst, s)
+	}
+	return dst
+}
+
+// decodeMetadata decodes metadata written by appendMetadata with the same
+// deadline, or the JSON of older journals.
+func decodeMetadata(b []byte, deadline time.Time) (Metadata, error) {
+	if len(b) > 0 && b[0] == '{' {
+		var m Metadata
+		if err := json.Unmarshal(b, &m); err != nil {
+			return Metadata{}, fmt.Errorf("core: decode metadata: %w", err)
+		}
+		return m, nil
+	}
+	if len(b) < 2 {
+		return Metadata{}, errMetaCorrupt
+	}
+	if b[0] != metaVersion {
+		return Metadata{}, fmt.Errorf("core: decode metadata: unknown encoding version %d", b[0])
+	}
+	flags := b[1]
+	known := byte(metaFlagAutomated | metaFlagExpiry | metaFlagCreated)
+	if !deadline.IsZero() {
+		known |= metaFlagRecordDeadline
+	}
+	if flags&^known != 0 || flags&(metaFlagExpiry|metaFlagRecordDeadline) == metaFlagExpiry|metaFlagRecordDeadline {
+		return Metadata{}, errMetaCorrupt
+	}
+	d := metaDecoder{b: b[2:]}
+	m := Metadata{
+		Owner:              d.string(),
+		Purposes:           d.list(),
+		Objections:         d.list(),
+		Origin:             d.string(),
+		SharedWith:         d.list(),
+		Location:           d.string(),
+		AutomatedDecisions: flags&metaFlagAutomated != 0,
+	}
+	if flags&metaFlagExpiry != 0 {
+		// An expiry equal to the deadline has its own flag; spelling it
+		// out is not the canonical encoding.
+		if m.Expiry = d.time(); !deadline.IsZero() && m.Expiry.Equal(deadline) {
+			return Metadata{}, errMetaCorrupt
+		}
+	}
+	if flags&metaFlagRecordDeadline != 0 {
+		m.Expiry = deadline
+	}
+	if flags&metaFlagCreated != 0 {
+		m.Created = d.time()
+	}
+	m.KeyEpoch = d.uvarint()
+	if d.bad || len(d.b) != 0 {
+		return Metadata{}, errMetaCorrupt
 	}
 	return m, nil
+}
+
+// metaDecoder reads the binary metadata encoding. The first malformed
+// field sets bad; later reads then return zero values.
+type metaDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *metaDecoder) uvarint() uint64 {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	// n must also be the minimal length, so the encoding is canonical.
+	if n <= 0 || n != uvarintLen(v) {
+		d.bad = true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+func (d *metaDecoder) bytes() []byte {
+	n := d.uvarint()
+	if d.bad || n > uint64(len(d.b)) {
+		d.bad = true
+		return nil
+	}
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *metaDecoder) string() string { return string(d.bytes()) }
+
+func (d *metaDecoder) list() []string {
+	n := d.uvarint()
+	// Every element takes at least one byte, which bounds the allocation
+	// by the input size.
+	if d.bad || n > uint64(len(d.b)) {
+		d.bad = true
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	l := make([]string, n)
+	for i := range l {
+		l[i] = d.string()
+	}
+	return l
+}
+
+func (d *metaDecoder) time() time.Time {
+	if d.bad || len(d.b) < 8 {
+		d.bad = true
+		return time.Time{}
+	}
+	n := int64(binary.BigEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return time.Unix(0, n).UTC()
 }
 
 // metaIndex maintains the secondary indexes the paper's "metadata
@@ -181,12 +379,27 @@ func (ix *metaIndex) put(key string, m Metadata) {
 	ms.m[key] = m
 	ms.mu.Unlock()
 	if had {
+		if old.Owner == m.Owner && sameStrings(old.Purposes, m.Purposes) {
+			return // associations unchanged (an overwrite, an objection)
+		}
 		ix.unindex(key, old)
 	}
 	ix.byOwner[stripeIndex(m.Owner)].add(m.Owner, key)
 	for _, p := range m.Purposes {
 		ix.byPurpose[stripeIndex(p)].add(p, key)
 	}
+}
+
+func sameStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (ix *metaIndex) get(key string) (Metadata, bool) {

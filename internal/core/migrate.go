@@ -129,7 +129,7 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 // RestoreRecord ingests a migration record: the destination half of a slot
 // transfer. Metadata-bearing records go through the full compliance path —
 // sealed under this node's keyring at the owner's current epoch,
-// re-indexed, GMETA-journaled, audited — with the source's metadata
+// re-indexed, GPUT-journaled, audited — with the source's metadata
 // (Created, Origin, Objections, Expiry, ...) preserved verbatim. A record
 // whose owner is crypto-shredded here fails with ErrErased: an erasure
 // that raced ahead of the migration wins. A record already past its
@@ -175,22 +175,15 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 	} else {
 		meta.KeyEpoch = 0
 	}
-	if meta.Expiry.IsZero() {
-		s.db.Set(rec.Key, stored)
-	} else {
-		ttl := meta.Expiry.Sub(s.cfg.Config.Clock.Now())
-		if ttl <= 0 {
-			return nil
-		}
-		s.db.SetEX(rec.Key, stored, ttl)
+	if !meta.Expiry.IsZero() && !meta.Expiry.After(s.cfg.Config.Clock.Now()) {
+		return nil
 	}
-	mb, err := meta.encode()
-	if err != nil {
-		return err
-	}
+	jerr := s.db.PutRecord(rec.Key, stored, meta.Expiry, func(dst []byte) []byte {
+		return appendMetadata(dst, meta, meta.Expiry)
+	})
 	s.ix.put(rec.Key, meta)
-	if err := s.appendLog(opMeta, []byte(rec.Key), mb); err != nil {
-		return err
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "RESTOREKEY", Key: rec.Key, Owner: meta.Owner,

@@ -3,16 +3,19 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"gdprstore/internal/audit"
+	"gdprstore/internal/store"
 )
 
 // This file is the record-apply surface shared by the two consumers of the
 // journal stream: AOF replay at Open (single-threaded, before the store is
 // shared) and the live network replication link (one applier goroutine,
 // concurrent with local reads). Both must interpret every record type the
-// primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
-// and the compliance layer's control records (GMETA/GOBJ/GSHRED/GFORGET/...)
+// primary can emit — the engine's data-plane records (SET/SETEX/DEL/...),
+// the GPUT/GMPUT write records, and the compliance layer's control records
+// (GMETA/GOBJ/GSHRED/GFORGET/...)
 // — identically, or a replica's state would drift from what a primary
 // restart reconstructs.
 
@@ -22,11 +25,13 @@ import (
 // owner stripe, and the engine applies under its shard locks.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
+	case opPut, opPutBatch:
+		return s.applyPut(name, args)
 	case opMeta:
 		if len(args) != 2 {
 			return errors.New("core: replay GMETA: need 2 args")
 		}
-		m, err := decodeMetadata(args[1])
+		m, err := decodeMetadata(args[1], time.Time{})
 		if err != nil {
 			return err
 		}
@@ -36,7 +41,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if len(args) < 2 {
 			return errors.New("core: replay GMETAB: need 2+ args")
 		}
-		m, err := decodeMetadata(args[0])
+		m, err := decodeMetadata(args[0], time.Time{})
 		if err != nil {
 			return err
 		}
@@ -145,6 +150,46 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 	default:
 		return s.db.Apply(name, args)
 	}
+}
+
+// applyPut applies a GPUT/GMPUT record: the engine takes the data half,
+// the index the metadata half. The record is validated whole first, so a
+// malformed one changes nothing. An empty metadata argument marks a key
+// without metadata (a raw write captured by a rewrite): its index entry,
+// if any, is left alone, as a SET would.
+func (s *Store) applyPut(name string, args [][]byte) error {
+	deadline, err := store.CheckPutRecord(name, args)
+	if err != nil {
+		return fmt.Errorf("core: replay %s: %w", name, err)
+	}
+	metaArg := args[len(args)-1]
+	if name == opPutBatch {
+		metaArg = args[1]
+	}
+	var m Metadata
+	if len(metaArg) > 0 {
+		if m, err = decodeMetadata(metaArg, deadline); err != nil {
+			return fmt.Errorf("core: replay %s: %w", name, err)
+		}
+	}
+	if err := s.db.Apply(name, args); err != nil {
+		return err
+	}
+	if len(metaArg) == 0 {
+		return nil
+	}
+	if name == opPut {
+		s.ix.put(string(args[0]), m)
+		return nil
+	}
+	for i := 2; i < len(args); i += 2 {
+		mm := m
+		if i+2 < len(args) {
+			mm = m.clone() // the last key takes the decoded slices themselves
+		}
+		s.ix.put(string(args[i]), mm)
+	}
+	return nil
 }
 
 // ApplyReplicated implements replica.Applier: it applies one record

@@ -394,10 +394,8 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 		m, ok := s.ix.get(k)
 		ks.Unlock()
 		if ok && m.Owner == owner {
-			if mb, err := m.encode(); err == nil {
-				if err := s.appendLog(opMeta, []byte(k), mb); err != nil {
-					return err
-				}
+			if err := s.appendLog(opMeta, []byte(k), appendMetadata(nil, m, time.Time{})); err != nil {
+				return err
 			}
 		}
 	}

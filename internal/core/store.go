@@ -19,15 +19,28 @@ import (
 
 // Journal record types appended by the compliance layer alongside the
 // engine's SET/SETEX/DEL records. They reconstruct GDPR state on replay.
+//
+// A GDPR write is one record: GPUT key value deadline meta, or for GMPUT
+// one GMPUT deadline meta key1 value1 ... per engine shard (the layout is
+// in internal/store/record.go). The engine journals it under the shard
+// lock, so it precedes any expiry DEL of the key. deadline is the
+// retention deadline once, as 8 bytes of Unix nanoseconds (empty: none);
+// meta is the binary Metadata encoding of metadata.go, whose version
+// byte leads and whose expiry, when equal to the deadline, is not
+// repeated. Journals from before the binary codec hold SETEX/MSETEX
+// (RFC 3339 deadlines) followed by GMETA/GMETAB with JSON metadata; they
+// still replay, and the next rewrite turns them into GPUT records.
 const (
-	opMeta      = "GMETA"   // GMETA key metadataJSON
-	opMetaBatch = "GMETAB"  // GMETAB metadataJSON key1 key2 ... (batch writes)
-	opObject    = "GOBJ"    // GOBJ owner purpose
-	opUnobj     = "GUNOBJ"  // GUNOBJ owner purpose
-	opKey       = "GKEY"    // GKEY owner wrappedDataKey [epoch]
-	opShred     = "GSHRED"  // GSHRED owner [epoch] (key destroyed, epoch advanced)
-	opReinst    = "GREINST" // GREINST owner
-	opForget    = "GFORGET" // GFORGET owner [mode] (Article 17 erasure marker)
+	opPut       = store.RecordPut      // GPUT key value deadline meta
+	opPutBatch  = store.RecordPutBatch // GMPUT deadline meta key1 value1 ...
+	opMeta      = "GMETA"              // GMETA key meta (metadata-only update: EXPIRE, objections)
+	opMetaBatch = "GMETAB"             // GMETAB meta key1 key2 ... (batch writes of older journals)
+	opObject    = "GOBJ"               // GOBJ owner purpose
+	opUnobj     = "GUNOBJ"             // GUNOBJ owner purpose
+	opKey       = "GKEY"               // GKEY owner wrappedDataKey [epoch]
+	opShred     = "GSHRED"             // GSHRED owner [epoch] (key destroyed, epoch advanced)
+	opReinst    = "GREINST"            // GREINST owner
+	opForget    = "GFORGET"            // GFORGET owner [mode] (Article 17 erasure marker)
 )
 
 // forgetModeShred is the GFORGET mode argument emitted by the crypto-shred
@@ -247,10 +260,16 @@ func (s *Store) replay(path string, key []byte) error {
 	if err != nil {
 		return err
 	}
-	// Drop metadata for keys that did not survive the replay, and rediscover
-	// crypto-shredded ciphertext that replayed back in: records sealed under
-	// a destroyed key epoch re-enter the sweep's pending set so reclamation
-	// resumes where the previous process left off.
+	s.sweepReplayGhosts()
+	return nil
+}
+
+// sweepReplayGhosts runs after a replay. It drops metadata for keys that
+// did not survive the replay, and rediscovers crypto-shredded ciphertext
+// that replayed back in: records sealed under a destroyed key epoch
+// re-enter the sweep's pending set so reclamation resumes where the
+// previous process left off.
+func (s *Store) sweepReplayGhosts() {
 	var ghosts []string
 	s.ix.rangeMeta(func(k string, m Metadata) bool {
 		if !s.db.Exists(k) {
@@ -263,7 +282,6 @@ func (s *Store) replay(path string, key []byte) error {
 	for _, k := range ghosts {
 		s.ix.del(k)
 	}
-	return nil
 }
 
 // appendLog journals a compliance-layer record to the AOF and mirrors it
@@ -411,18 +429,14 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		stored = sealed
 	}
 
-	if deadline.IsZero() {
-		s.db.Set(key, stored)
-	} else {
-		s.db.SetEX(key, stored, deadline.Sub(s.cfg.Config.Clock.Now()))
-	}
-	mb, err := meta.encode()
-	if err != nil {
-		return err
-	}
+	// One GPUT record journals value, deadline and metadata together; the
+	// engine encodes the metadata only when a journal leg will read it.
+	jerr := s.db.PutRecord(key, stored, deadline, func(dst []byte) []byte {
+		return appendMetadata(dst, meta, deadline)
+	})
 	s.ix.put(key, meta)
-	if err := s.appendLog(opMeta, []byte(key), mb); err != nil {
-		return err
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "PUT", Key: key, Owner: opts.Owner,
@@ -579,10 +593,8 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	if mm, ok := s.ix.get(key); ok {
 		mm.Expiry = s.cfg.Config.Clock.Now().Add(ttl)
 		s.ix.put(key, mm)
-		if mb, err := mm.encode(); err == nil {
-			if err := s.appendLog(opMeta, []byte(key), mb); err != nil {
-				return err
-			}
+		if err := s.appendLog(opMeta, []byte(key), appendMetadata(nil, mm, time.Time{})); err != nil {
+			return err
 		}
 	}
 	s.auditOp(audit.Record{

@@ -14,7 +14,6 @@
 package replica
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -42,16 +41,7 @@ const DefaultLinkQueue = 4096
 // array of bulk strings, name first. Primary and replica use the same
 // encoder, which is what makes byte offsets agree on both ends.
 func EncodeRecord(name string, args ...[]byte) []byte {
-	var buf bytes.Buffer
-	w := resp.NewWriter(&buf)
-	vs := make([]resp.Value, 0, len(args)+1)
-	vs = append(vs, resp.BulkStringValue(name))
-	for _, a := range args {
-		vs = append(vs, resp.BulkValue(a))
-	}
-	_ = w.WriteValue(resp.ArrayValue(vs...))
-	_ = w.Flush()
-	return buf.Bytes()
+	return resp.AppendNamedCommand(nil, name, args)
 }
 
 // SnapshotProvider produces a full-state record sequence for a full resync.
@@ -320,10 +310,10 @@ func (h *Hub) Serve(conn net.Conn, replid string, offset int64, snap SnapshotPro
 		// Full resync: build the snapshot payload; the provider calls cut()
 		// at the consistent point, where we register the link and learn the
 		// stream offset the snapshot corresponds to.
-		var payload bytes.Buffer
+		var payload []byte
 		var startOff int64
 		emit := func(name string, args ...[]byte) error {
-			payload.Write(EncodeRecord(name, args...))
+			payload = resp.AppendNamedCommand(payload, name, args)
 			return nil
 		}
 		if err := snap(emit, func() { startOff = h.register(l) }); err != nil {
@@ -333,7 +323,7 @@ func (h *Hub) Serve(conn net.Conn, replid string, offset int64, snap SnapshotPro
 			fmt.Sprintf("FULLRESYNC %s %d", h.id, startOff))); err != nil {
 			return err
 		}
-		if err := w.WriteValue(resp.BulkValue(payload.Bytes())); err != nil {
+		if err := w.WriteValue(resp.BulkValue(payload)); err != nil {
 			return err
 		}
 		if err := w.Flush(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // seedCorpus mixes well-formed values, the protocol edge cases the parser
@@ -90,10 +91,11 @@ func FuzzReadValue(f *testing.F) {
 	})
 }
 
-// FuzzReadCommand asserts the command-path invariants: no panics, and any
-// accepted command is a non-empty argument vector whose re-encoding parses
-// to the same arguments — the property the server and the replication
-// stream both rely on.
+// FuzzReadCommand asserts the command-path invariants: no panics, it
+// accepts exactly what ReadValue decodes as a command with the same
+// arguments, and any accepted command is a non-empty argument vector whose
+// re-encoding parses to the same arguments — the property the server and
+// the replication stream both rely on.
 func FuzzReadCommand(f *testing.F) {
 	for _, s := range seedCorpus {
 		f.Add([]byte(s))
@@ -101,8 +103,30 @@ func FuzzReadCommand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		args, err := r.ReadCommand()
+		// ReadCommand parses without the Value tree; it must accept
+		// exactly the inputs whose first value is a non-empty array of
+		// non-null bulk strings, with the same arguments.
+		v, verr := NewReader(bytes.NewReader(data)).ReadValue()
+		isCmd := verr == nil && v.Type == Array && !v.Null && len(v.Array) > 0
+		for _, e := range v.Array {
+			isCmd = isCmd && e.Type == BulkString && !e.Null
+		}
+		if isCmd != (err == nil) {
+			t.Fatalf("ReadCommand err=%v, but ReadValue gives %#v, %v", err, v, verr)
+		}
+		// Fed one byte per read, the command is never wholly buffered, so
+		// the ReadValue fallback must agree with the one-slab path.
+		slow, serr := NewReader(iotest.OneByteReader(bytes.NewReader(data))).ReadCommand()
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("buffered ReadCommand err=%v, byte-at-a-time err=%v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		for i := range args {
+			if !bytes.Equal(args[i], v.Array[i].Str) || !bytes.Equal(args[i], slow[i]) {
+				t.Fatalf("arg %d: ReadCommand %q, byte-at-a-time %q, ReadValue %q", i, args[i], slow[i], v.Array[i].Str)
+			}
 		}
 		if len(args) == 0 {
 			t.Fatal("accepted empty command")

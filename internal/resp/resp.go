@@ -14,6 +14,7 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -258,7 +259,27 @@ func (r *Reader) readValue(depth int) (Value, error) {
 // ReadCommand decodes a client command (array of bulk strings) and returns
 // its arguments. It rejects non-command values; inline commands are not
 // supported.
+//
+// The arguments of one command share one freshly allocated slab (plus the
+// argument vector itself) whenever the whole command already sits in the
+// read buffer — the common case for requests and journal records — so
+// parsing costs two allocations regardless of the argument count. Each
+// argument is capped at its own length, so appending to one cannot
+// overwrite the next. The slab is never reused: callers may keep the
+// arguments (journal queues, replication fan-out) past the next read.
+// A command that is not wholly buffered, or is malformed, is decoded (and
+// diagnosed) by ReadValue.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	if r.br.Buffered() == 0 {
+		// Fill the buffer first, so a command arriving whole in one read
+		// takes the fast path. The error is the one ReadValue would see.
+		if _, err := r.br.Peek(1); err != nil {
+			return nil, err
+		}
+	}
+	if args, ok := r.readBufferedCommand(); ok {
+		return args, nil
+	}
 	v, err := r.ReadValue()
 	if err != nil {
 		return nil, err
@@ -274,6 +295,74 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		args[i] = e.Str
 	}
 	return args, nil
+}
+
+// readBufferedCommand is ReadCommand's fast path: if a whole well-formed
+// command is already buffered, it copies the argument payloads into one
+// slab and consumes the command. Otherwise it consumes nothing and reports
+// false.
+func (r *Reader) readBufferedCommand() ([][]byte, bool) {
+	buf, _ := r.br.Peek(r.br.Buffered())
+	n, total, end, ok := scanCommand(buf)
+	if !ok {
+		return nil, false
+	}
+	slab := make([]byte, total)
+	args := make([][]byte, n)
+	pos := bytes.IndexByte(buf, '\n') + 1 // past the *n header
+	off := 0
+	for i := range args {
+		nl := pos + bytes.IndexByte(buf[pos:], '\n')
+		l, _ := parseInt(buf[pos+1 : nl-1])
+		pos = nl + 1
+		copy(slab[off:], buf[pos:pos+int(l)])
+		args[i] = slab[off : off+int(l) : off+int(l)]
+		off += int(l)
+		pos += int(l) + 2
+	}
+	_, _ = r.br.Discard(end)
+	return args, true
+}
+
+// scanCommand checks that buf starts with a complete command: a *n header
+// with n ≥ 1 and n well-formed non-null bulk strings. It returns n, their
+// payload total and the command's encoded length.
+func scanCommand(buf []byte) (n, total, end int, ok bool) {
+	j := bytes.IndexByte(buf, '\n')
+	if j < 2 || buf[0] != byte(Array) || buf[j-1] != '\r' {
+		return 0, 0, 0, false
+	}
+	hn, valid := parseInt(buf[1 : j-1])
+	// Every bulk string takes at least 4 bytes ("$0\r\n"), which bounds
+	// the argument vector by the buffer before it is allocated.
+	if !valid || hn < 1 || hn > MaxArrayLen || hn > int64(len(buf)/4) {
+		return 0, 0, 0, false
+	}
+	pos := j + 1
+	for i := int64(0); i < hn; i++ {
+		if pos >= len(buf) || buf[pos] != byte(BulkString) {
+			return 0, 0, 0, false
+		}
+		k := bytes.IndexByte(buf[pos:], '\n')
+		if k < 2 || buf[pos+k-1] != '\r' {
+			return 0, 0, 0, false
+		}
+		l, valid := parseInt(buf[pos+1 : pos+k-1])
+		if !valid || l < 0 || l > int64(len(buf)) {
+			return 0, 0, 0, false
+		}
+		pos += k + 1
+		if int64(len(buf)-pos) < l+2 {
+			return 0, 0, 0, false
+		}
+		pos += int(l)
+		if buf[pos] != '\r' || buf[pos+1] != '\n' {
+			return 0, 0, 0, false
+		}
+		pos += 2
+		total += int(l)
+	}
+	return int(hn), total, pos, true
 }
 
 // readN reads exactly n declared bytes, growing the buffer incrementally
@@ -483,6 +572,51 @@ func (w *Writer) WriteCommandBytes(args [][]byte) error {
 		}
 	}
 	return nil
+}
+
+// WriteNamedCommand is WriteCommandBytes for a command whose name is a
+// string and whose arguments follow it: the journal's shape (AOF appends,
+// rewrites), written without building an argument vector.
+func (w *Writer) WriteNamedCommand(name string, args [][]byte) error {
+	if err := w.writeHeader('*', int64(len(args)+1)); err != nil {
+		return err
+	}
+	if err := w.writeHeader('$', int64(len(name))); err != nil {
+		return err
+	}
+	if _, err := w.bw.WriteString(name); err != nil {
+		return err
+	}
+	if err := w.crlf(); err != nil {
+		return err
+	}
+	for _, a := range args {
+		if err := w.writeBulk(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendNamedCommand appends the RESP encoding WriteNamedCommand writes
+// to dst, for callers that keep encoded records as byte slices (the
+// replication stream's frames).
+func AppendNamedCommand(dst []byte, name string, args [][]byte) []byte {
+	dst = append(dst, '*')
+	dst = strconv.AppendInt(dst, int64(len(args)+1), 10)
+	dst = append(dst, '\r', '\n', '$')
+	dst = strconv.AppendInt(dst, int64(len(name)), 10)
+	dst = append(dst, '\r', '\n')
+	dst = append(dst, name...)
+	dst = append(dst, '\r', '\n')
+	for _, a := range args {
+		dst = append(dst, '$')
+		dst = strconv.AppendInt(dst, int64(len(a)), 10)
+		dst = append(dst, '\r', '\n')
+		dst = append(dst, a...)
+		dst = append(dst, '\r', '\n')
+	}
+	return dst
 }
 
 func (w *Writer) crlf() error {

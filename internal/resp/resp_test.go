@@ -292,3 +292,36 @@ func TestReadIntegerAllocFree(t *testing.T) {
 		t.Fatalf("integer reply read allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestReadCommandOneSlab pins the server's parse cost: a command already
+// in the read buffer costs its argument vector plus one payload slab,
+// whatever its argument count, and each argument is capped so appending
+// to it cannot clobber the next.
+func TestReadCommandOneSlab(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewWriter(&wire)
+	cmd := []string{"GPUT", "alice:r1", strings.Repeat("v", 256), "OWNER", "alice", "PURPOSES", "billing", "TTL", "3600"}
+	for i := 0; i < 1001; i++ {
+		if err := w.WriteCommand(cmd...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&wire)
+	var args [][]byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		if args, err = r.ReadCommand(); err != nil || len(args) != len(cmd) {
+			t.Fatalf("ReadCommand = %q, %v", args, err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("ReadCommand allocates %.1f objects/op, want 2 (argv + slab)", allocs)
+	}
+	_ = append(args[0], 'X')
+	if string(args[1]) != "alice:r1" {
+		t.Fatalf("appending to one argument overwrote the next: %q", args[1])
+	}
+}

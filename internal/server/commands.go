@@ -40,13 +40,13 @@ func init() {
 		Summary: "set the connection's authenticated principal",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			ctx.Sess.actor = string(ctx.Args[0])
-			return resp.SimpleStringValue("OK"), nil
+			return replyOK, nil
 		}})
 	register(Command{Name: "PURPOSE", MinArgs: 1, MaxArgs: 1,
 		Summary: "declare the connection's processing purpose (Art. 5)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			ctx.Sess.purpose = string(ctx.Args[0])
-			return resp.SimpleStringValue("OK"), nil
+			return replyOK, nil
 		}})
 
 	// --- vanilla engine surface (baseline benchmarks) ---
@@ -151,7 +151,7 @@ func init() {
 			// one cut, so the live primary agrees with replicas and with
 			// replay (which both reset metadata on the FLUSHALL record).
 			ctx.Srv.store.FlushAll()
-			return resp.SimpleStringValue("OK"), nil
+			return replyOK, nil
 		}})
 	register(Command{Name: "INFO", MinArgs: 0, MaxArgs: 1, Flags: FlagReadonly | FlagAdmin,
 		// The summary regenerates from the section registry, so it can
@@ -263,7 +263,7 @@ func init() {
 			if err := ctx.Srv.store.Compact(ctx.Core); err != nil {
 				return resp.Value{}, err
 			}
-			return resp.SimpleStringValue("OK"), nil
+			return replyOK, nil
 		}})
 	register(Command{Name: "MAINTAIN", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin,
 		Summary: "run one maintenance pass (ghost metadata, grants, deferred compaction)",
@@ -319,7 +319,7 @@ func cmdSet(ctx *Ctx) (resp.Value, error) {
 	default:
 		eng.Set(key, val)
 	}
-	return resp.SimpleStringValue("OK"), nil
+	return replyOK, nil
 }
 
 // cmdMSet implements MSET key value [key value ...]: the whole batch is
@@ -336,7 +336,7 @@ func cmdMSet(ctx *Ctx) (resp.Value, error) {
 		vals[i] = ctx.Args[2*i+1]
 	}
 	ctx.Srv.store.Engine().SetBatch(keys, vals)
-	return resp.SimpleStringValue("OK"), nil
+	return replyOK, nil
 }
 
 // cmdMGet implements MGET key [key ...]; missing keys reply null.
@@ -422,10 +422,10 @@ func visibleKeys(st *core.Store, keys []string) []string {
 //	[SHAREDWITH a,b] [AUTODECIDE]
 func parsePutOptions(a [][]byte) (core.PutOptions, error) {
 	var opts core.PutOptions
+	var buf [tokenBufLen]byte
 	for i := 0; i < len(a); i++ {
-		tok := strings.ToUpper(string(a[i]))
 		need := func() bool { return i+1 < len(a) }
-		switch tok {
+		switch string(upperToken(&buf, a[i])) {
 		case "OWNER":
 			if !need() {
 				return opts, errSyntax
@@ -487,7 +487,7 @@ func cmdGPut(ctx *Ctx) (resp.Value, error) {
 	if err := ctx.Srv.store.Put(ctx.Core, key, val, opts); err != nil {
 		return resp.Value{}, err
 	}
-	return resp.SimpleStringValue("OK"), nil
+	return replyOK, nil
 }
 
 // cmdGMPut implements
@@ -517,7 +517,7 @@ func cmdGMPut(ctx *Ctx) (resp.Value, error) {
 	if err := ctx.Srv.store.PutBatch(ctx.Core, entries, opts); err != nil {
 		return resp.Value{}, err
 	}
-	return resp.SimpleStringValue("OK"), nil
+	return replyOK, nil
 }
 
 // cmdGMGet implements GMGET key [key ...]: one reply per key, positional.
@@ -581,13 +581,13 @@ func cmdACL(ctx *Ctx) (resp.Value, error) {
 			return resp.Value{}, fmt.Errorf("unknown role '%s'", string(rest[1]))
 		}
 		s.store.ACL().AddPrincipal(acl.Principal{ID: string(rest[0]), Role: role})
-		return resp.SimpleStringValue("OK"), nil
+		return replyOK, nil
 	case "DELPRINCIPAL":
 		if len(rest) != 1 {
 			return wrongArity("ACL DELPRINCIPAL"), nil
 		}
 		s.store.ACL().RemovePrincipal(string(rest[0]))
-		return resp.SimpleStringValue("OK"), nil
+		return replyOK, nil
 	case "GRANT":
 		if len(rest) < 2 {
 			return wrongArity("ACL GRANT"), nil
@@ -618,7 +618,7 @@ func cmdACL(ctx *Ctx) (resp.Value, error) {
 		if err := s.store.ACL().AddGrant(g); err != nil {
 			return resp.Value{}, err
 		}
-		return resp.SimpleStringValue("OK"), nil
+		return replyOK, nil
 	case "REVOKE":
 		if len(rest) < 2 {
 			return wrongArity("ACL REVOKE"), nil

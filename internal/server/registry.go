@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"gdprstore/internal/core"
 	"gdprstore/internal/resp"
@@ -179,6 +180,34 @@ func errReply(err error) resp.Value {
 	}
 }
 
+// tokenBufLen bounds the command names and option keywords upperToken
+// folds on the stack.
+const tokenBufLen = 32
+
+// upperToken returns tok upper-cased exactly as strings.ToUpper would.
+// ASCII tokens that fit buf are folded into it, so looking one up (a map
+// index or switch on string(...) of the result) does not allocate; any
+// other token takes strings.ToUpper.
+func upperToken(buf *[tokenBufLen]byte, tok []byte) []byte {
+	if len(tok) > len(buf) {
+		return []byte(strings.ToUpper(string(tok)))
+	}
+	for i, c := range tok {
+		switch {
+		case c >= utf8.RuneSelf:
+			return []byte(strings.ToUpper(string(tok)))
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return buf[:len(tok)]
+}
+
+// replyOK is the shared +OK reply. Replies are only ever encoded, never
+// modified, so one Value serves every command.
+var replyOK = resp.SimpleStringValue("OK")
+
 func wrongArity(cmd string) resp.Value {
 	return resp.ErrorValue("ERR wrong number of arguments for '" + strings.ToLower(cmd) + "'")
 }
@@ -278,10 +307,10 @@ func (s *Server) hookMiddleware(next Handler) Handler {
 // execute runs one parsed command through the registry: lookup, arity
 // check, middleware pipeline, error mapping.
 func (s *Server) execute(sess *connState, args [][]byte) resp.Value {
-	name := strings.ToUpper(string(args[0]))
-	cmd, ok := commandTable[name]
+	var buf [tokenBufLen]byte
+	cmd, ok := commandTable[string(upperToken(&buf, args[0]))]
 	if !ok {
-		return resp.ErrorValue("ERR unknown command '" + strings.ToLower(name) + "'")
+		return resp.ErrorValue("ERR unknown command '" + strings.ToLower(strings.ToUpper(string(args[0]))) + "'")
 	}
 	a := args[1:]
 	if len(a) < cmd.MinArgs || (cmd.MaxArgs >= 0 && len(a) > cmd.MaxArgs) {

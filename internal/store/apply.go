@@ -73,6 +73,18 @@ func (db *DB) Apply(name string, args [][]byte) error {
 			db.setExpireLocked(sh, key, deadline)
 			sh.mu.Unlock()
 		}
+	case RecordPut, RecordPutBatch:
+		deadline, err := CheckPutRecord(name, args)
+		if err != nil {
+			return err
+		}
+		if name == RecordPut {
+			db.applyPut(string(args[0]), args[1], deadline)
+			return nil
+		}
+		for i := 2; i+1 < len(args); i += 2 {
+			db.applyPut(string(args[i]), args[i+1], deadline)
+		}
 	case "EXPIREAT":
 		if len(args) != 2 {
 			return fmt.Errorf("store: apply EXPIREAT: need 2 args, got %d", len(args))
@@ -134,24 +146,10 @@ func (db *DB) Apply(name string, args [][]byte) error {
 // keyspace — an AOF rewrite or replica seed taken from it can be replayed
 // against the journal stream without losing or resurrecting keys.
 func (db *DB) Snapshot(emit func(name string, args ...[]byte) error) error {
-	db.lockAll()
-	defer db.unlockAll()
-	now := db.clk.Now()
-	for _, sh := range db.shards {
-		for k, v := range sh.dict {
-			if t, ok := sh.expires[k]; ok {
-				if !t.After(now) {
-					continue // expired: do not resurrect
-				}
-				if err := emit("SETEX", []byte(k), encodeDeadline(t), v); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := emit("SET", []byte(k), v); err != nil {
-				return err
-			}
+	return db.Range(func(k string, v []byte, t time.Time) error {
+		if t.IsZero() {
+			return emit("SET", []byte(k), v)
 		}
-	}
-	return nil
+		return emit("SETEX", []byte(k), encodeDeadline(t), v)
+	})
 }

@@ -9,6 +9,9 @@ import (
 type journalRec struct {
 	name string
 	args [][]byte
+	// errp, when set, receives the sink's error for this record, so a
+	// caller that must not acknowledge an unjournaled write can see it.
+	errp *error
 }
 
 // journalQueue decouples journal I/O from the shard locks. Mutating
@@ -38,9 +41,13 @@ type journalQueue struct {
 	// lock-free no-op on the common read path.
 	pendingN atomic.Int64
 
-	mu      sync.Mutex // guards pending and sink
+	mu      sync.Mutex // guards pending, spare and sink
 	pending []journalRec
 	sink    Journal
+
+	// spare is the drained batch's emptied slice, handed back to pending
+	// by the next drain so steady-state enqueues do not reallocate.
+	spare []journalRec
 
 	writeMu sync.Mutex // serialises drains (held across Journal I/O)
 }
@@ -49,12 +56,20 @@ type journalQueue struct {
 // shard (or every shard lock, for cross-shard records such as FLUSHALL),
 // which fixes the order of records for any given key.
 func (q *journalQueue) enqueue(name string, args ...[]byte) {
+	q.enqueueChecked(nil, name, args...)
+}
+
+// enqueueChecked is enqueue for a record whose sink error the caller
+// reads: the drain that writes the record stores a failure in *errp (the
+// first, if errp is shared by several records). *errp is final once the
+// caller's following flush returns.
+func (q *journalQueue) enqueueChecked(errp *error, name string, args ...[]byte) {
 	if !q.attached.Load() {
 		return
 	}
 	q.mu.Lock()
 	if q.sink != nil {
-		q.pending = append(q.pending, journalRec{name: name, args: args})
+		q.pending = append(q.pending, journalRec{name: name, args: args, errp: errp})
 		q.pendingN.Add(1)
 	}
 	q.mu.Unlock()
@@ -66,9 +81,11 @@ func (q *journalQueue) enqueue(name string, args ...[]byte) {
 func (q *journalQueue) active() bool { return q.attached.Load() }
 
 // flush drains every pending record to the sink, in enqueue order. Callers
-// must not hold any shard lock. Journal errors are dropped, as before: the
-// journal's own health API (e.g. the AOF's last-error) reports them, and
-// the engine keeps serving, as Redis does with appendfsync errors.
+// must not hold any shard lock. Journal errors reach only the callers that
+// asked for them (enqueueChecked); for every other record they are
+// dropped, as before: the journal's own health API (e.g. the AOF's
+// last-error) reports them, and the engine keeps serving, as Redis does
+// with appendfsync errors.
 func (q *journalQueue) flush() {
 	if !q.attached.Load() || q.pendingN.Load() == 0 {
 		return
@@ -77,18 +94,20 @@ func (q *journalQueue) flush() {
 	defer q.writeMu.Unlock()
 	q.mu.Lock()
 	batch := q.pending
-	q.pending = nil
+	q.pending, q.spare = q.spare, nil
 	sink := q.sink
 	q.mu.Unlock()
 	if len(batch) == 0 {
 		return
 	}
 	if sink != nil {
-		for _, r := range batch {
-			_ = sink.AppendOp(r.name, r.args...)
-		}
+		writeBatch(sink, batch)
 	}
 	q.pendingN.Add(-int64(len(batch)))
+	clear(batch) // drop the payload references before the slice is reused
+	q.mu.Lock()
+	q.spare = batch[:0]
+	q.mu.Unlock()
 }
 
 // multiJournal fans one record out to several sinks in order. It is the
@@ -151,9 +170,19 @@ func (q *journalQueue) set(j Journal) {
 	q.attached.Store(j != nil)
 	q.mu.Unlock()
 	if old != nil {
-		for _, r := range batch {
-			_ = old.AppendOp(r.name, r.args...)
-		}
+		writeBatch(old, batch)
 	}
 	q.pendingN.Add(-int64(len(batch)))
+}
+
+// writeBatch hands batch to sink in order, reporting each failure to the
+// record's caller if it asked. Callers hold writeMu, which serialises the
+// writes to a shared errp; the caller reads it only after pendingN (or
+// writeMu) shows the record written.
+func writeBatch(sink Journal, batch []journalRec) {
+	for _, r := range batch {
+		if err := sink.AppendOp(r.name, r.args...); err != nil && r.errp != nil && *r.errp == nil {
+			*r.errp = err
+		}
+	}
 }

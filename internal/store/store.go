@@ -349,36 +349,6 @@ func (db *DB) SetBatch(keys []string, values [][]byte) {
 	db.jq.flush()
 }
 
-// SetBatchEX is SetBatch with one shared absolute retention deadline. It
-// journals one MSETEX record (carrying the deadline once) per touched
-// shard.
-func (db *DB) SetBatchEX(keys []string, values [][]byte, deadline time.Time) {
-	if len(keys) == 0 {
-		return
-	}
-	journal := db.jq.active()
-	encoded := encodeDeadline(deadline)
-	for sh, idxs := range db.batchGroup(keys) {
-		sh.mu.Lock()
-		var args [][]byte
-		if journal {
-			args = append(make([][]byte, 0, 2*len(idxs)+1), encoded)
-		}
-		for _, i := range idxs {
-			sh.dict[keys[i]] = cloneBytes(values[i])
-			db.setExpireLocked(sh, keys[i], deadline)
-			if journal {
-				args = append(args, []byte(keys[i]), values[i])
-			}
-		}
-		if journal {
-			db.jq.enqueue("MSETEX", args...)
-		}
-		sh.mu.Unlock()
-	}
-	db.jq.flush()
-}
-
 // GetBatch reads every key, grouping work by shard (one lock acquisition
 // per touched shard). The returned slices are positional: present[i]
 // reports whether keys[i] existed (lazy expiry applies per key, as in Get).

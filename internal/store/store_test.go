@@ -284,3 +284,62 @@ func TestStrategyString(t *testing.T) {
 		}
 	}
 }
+
+// TestPutRecordReportsJournalError checks that a GPUT/GMPUT whose journal
+// write fails reports it, also when another writer's drain wrote it.
+func TestPutRecordReportsJournalError(t *testing.T) {
+	db, _ := newTestDB()
+	if err := db.PutRecord("k", []byte("v"), time.Time{}, nil); err != nil {
+		t.Fatalf("PutRecord without a journal: %v", err)
+	}
+	boom := fmt.Errorf("disk full")
+	var fail sync.Map // key -> struct{}: records naming it fail
+	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
+		for _, a := range args {
+			if _, ok := fail.Load(string(a)); ok {
+				return boom
+			}
+		}
+		return nil
+	}))
+	fail.Store("bad", struct{}{})
+	if err := db.PutRecord("bad", []byte("v"), time.Time{}, nil); err != boom {
+		t.Fatalf("PutRecord on a failing journal = %v, want %v", err, boom)
+	}
+	if err := db.PutRecord("good", []byte("v"), time.Time{}, nil); err != nil {
+		t.Fatalf("PutRecord on a healthy record = %v", err)
+	}
+	if err := db.PutBatchRecord([]string{"a", "bad", "c"}, [][]byte{{1}, {2}, {3}}, time.Time{}, nil); err != boom {
+		t.Fatalf("PutBatchRecord with one failing record = %v, want %v", err, boom)
+	}
+	if err := db.PutBatchRecord([]string{"a", "b", "c"}, [][]byte{{1}, {2}, {3}}, time.Time{}, nil); err != nil {
+		t.Fatalf("PutBatchRecord on healthy records = %v", err)
+	}
+
+	// Concurrent writers share drains: each must still see its own verdict.
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("w%d-%d", w, i)
+				bad := i%3 == 0
+				if bad {
+					fail.Store(key, struct{}{})
+				}
+				err := db.PutRecord(key, []byte("v"), time.Time{}, nil)
+				if (err != nil) != bad {
+					errs <- fmt.Sprintf("%s: err=%v, want failure=%v", key, err, bad)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

@@ -14,14 +14,30 @@ var (
 	cmdGPUT   = []byte("GPUT")
 	cmdGGET   = []byte("GGET")
 	cmdGDEL   = []byte("GDEL")
+
+	optOWNER      = []byte("OWNER")
+	optPURPOSES   = []byte("PURPOSES")
+	optTTL        = []byte("TTL")
+	optORIGIN     = []byte("ORIGIN")
+	optLOCATION   = []byte("LOCATION")
+	optSHAREDWITH = []byte("SHAREDWITH")
+	optAUTODECIDE = []byte("AUTODECIDE")
 )
 
 // argvBox is a reusable [][]byte argument vector. The hot scalar commands
 // (Get/Set/GGet/GPut/...) check one out, build their command in place,
 // run the call, and return it — the per-call slice-header allocation
 // conn.do used to force is gone. Safe because the write path consumes the
-// arguments before the routed call returns; nothing retains them.
-type argvBox struct{ a [][]byte }
+// arguments before the routed call returns; nothing retains them. scratch
+// backs the arguments a call renders itself (key bytes, option tokens).
+type argvBox struct {
+	a       [][]byte
+	scratch []byte
+}
+
+// maxPooledScratch keeps one call with huge keys or options from pinning
+// a large buffer in the pool.
+const maxPooledScratch = 4 << 10
 
 var argvPool = sync.Pool{
 	New: func() any { return &argvBox{a: make([][]byte, 0, 12)} },
@@ -36,5 +52,9 @@ func argvPut(b *argvBox) {
 		b.a[i] = nil
 	}
 	b.a = b.a[:0]
+	b.scratch = b.scratch[:0]
+	if cap(b.scratch) > maxPooledScratch {
+		b.scratch = nil
+	}
 	argvPool.Put(b)
 }

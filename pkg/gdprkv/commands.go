@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"gdprstore/internal/resp"
@@ -258,29 +257,65 @@ type PutOptions struct {
 
 // optionArgs renders the metadata as GPUT/GMPUT option tokens.
 func (o PutOptions) optionArgs() [][]byte {
-	var a [][]byte
+	a, _ := o.appendOptionArgs(nil, nil)
+	return a
+}
+
+// appendOptionArgs appends the metadata's GPUT/GMPUT option tokens to a.
+// Keywords are shared constants; the variable tokens (owner, joined
+// lists, the TTL digits) are appended to scratch and sliced from it. A
+// token stays valid if a later append moves scratch, since it keeps the
+// old array; with a pooled a and scratch that have grown once, the call
+// allocates nothing.
+func (o PutOptions) appendOptionArgs(a [][]byte, scratch []byte) ([][]byte, []byte) {
+	token := func(kw []byte, start int) {
+		a = append(a, kw, scratch[start:len(scratch):len(scratch)])
+	}
 	if o.Owner != "" {
-		a = append(a, []byte("OWNER"), []byte(o.Owner))
+		n := len(scratch)
+		scratch = append(scratch, o.Owner...)
+		token(optOWNER, n)
 	}
 	if len(o.Purposes) > 0 {
-		a = append(a, []byte("PURPOSES"), []byte(strings.Join(o.Purposes, ",")))
+		n := len(scratch)
+		scratch = appendJoined(scratch, o.Purposes)
+		token(optPURPOSES, n)
 	}
 	if secs := int64(o.TTL / time.Second); secs > 0 {
-		a = append(a, []byte("TTL"), []byte(strconv.FormatInt(secs, 10)))
+		n := len(scratch)
+		scratch = strconv.AppendInt(scratch, secs, 10)
+		token(optTTL, n)
 	}
 	if o.Origin != "" {
-		a = append(a, []byte("ORIGIN"), []byte(o.Origin))
+		n := len(scratch)
+		scratch = append(scratch, o.Origin...)
+		token(optORIGIN, n)
 	}
 	if o.Location != "" {
-		a = append(a, []byte("LOCATION"), []byte(o.Location))
+		n := len(scratch)
+		scratch = append(scratch, o.Location...)
+		token(optLOCATION, n)
 	}
 	if len(o.SharedWith) > 0 {
-		a = append(a, []byte("SHAREDWITH"), []byte(strings.Join(o.SharedWith, ",")))
+		n := len(scratch)
+		scratch = appendJoined(scratch, o.SharedWith)
+		token(optSHAREDWITH, n)
 	}
 	if o.AutoDecide {
-		a = append(a, []byte("AUTODECIDE"))
+		a = append(a, optAUTODECIDE)
 	}
-	return a
+	return a, scratch
+}
+
+// appendJoined appends strings.Join(l, ",") to dst.
+func appendJoined(dst []byte, l []string) []byte {
+	for i, s := range l {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, s...)
+	}
+	return dst
 }
 
 // GPut writes personal data with its metadata. Under WithAutoBatch,
@@ -292,8 +327,9 @@ func (c *Client) GPut(ctx context.Context, key string, value []byte, opts PutOpt
 	}
 	av := argvGet()
 	defer argvPut(av)
-	av.a = append(av.a, cmdGPUT, []byte(key), value)
-	av.a = append(av.a, opts.optionArgs()...)
+	av.scratch = append(av.scratch, key...)
+	av.a = append(av.a, cmdGPUT, av.scratch[:len(key):len(key)], value)
+	av.a, av.scratch = opts.appendOptionArgs(av.a, av.scratch)
 	_, err := c.doWriteKey(ctx, key, av.a)
 	return err
 }
